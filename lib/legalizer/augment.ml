@@ -15,6 +15,7 @@ type state = {
   cd_epoch : int array;
   heap : Heap.t;  (* hoisted search frontier, cleared per search *)
   rheap : Heap_radix.t;  (* the Config.Radix frontier alternative *)
+  sel : Select.t;  (* selection scratch, loaded once per pop *)
   mutable epoch : int;
   mutable pops : int;
 }
@@ -35,6 +36,7 @@ let create_state grid =
     cd_epoch = Array.make nc 0;
     heap = Heap.create ();
     rheap = Heap_radix.create ();
+    sel = Select.create ();
     epoch = 0;
     pops = 0;
   }
@@ -155,62 +157,71 @@ let search ?mask ?probe:pr cfg grid st ~src =
     st.parent.(src.Grid.id) <- -1;
     st.visited.(src.Grid.id) <- epoch;
     frontier_add ~key:0 src.Grid.id;
+    let cur = cached_cur_disp grid st in
+    let sel = st.sel in
+    let tot = Select.totals sel in
+    (* The pruning bound only changes with [best_cost], so it is kept
+       alongside it instead of being recomputed per comparison. *)
     let best_cost = ref infinity and best_leaf = ref (-1) in
-    let rec loop () =
-      if not (frontier_empty ()) then begin
-        let uid = frontier_pop () in
-        st.pops <- st.pops + 1;
-        (* Each bin is pushed at most once per epoch (visited on push), so
-           its exact float cost is the stored label. *)
-        let cost_u = st.cost.(uid) in
-        let u = grid.Grid.bins.(uid) in
-        if cost_u <= bound cfg grid src !best_cost then begin
-          let need = st.flow.(uid) -. Grid.demand u in
-          if need > 1e-9 then
-            Array.iter
-              (fun (e : Grid.edge) ->
-                let kind_ok =
-                  match e.Grid.kind with
-                  | Grid.D2d -> cfg.Config.d2d_edges
-                  | Grid.Horizontal | Grid.Vertical -> true
-                in
-                let mask_ok =
-                  match mask with None -> true | Some m -> m.(e.Grid.dst)
-                in
-                if kind_ok && not mask_ok then note_pruned e.Grid.dst;
-                if kind_ok && mask_ok && st.visited.(e.Grid.dst) <> epoch
-                then begin
-                  let v = grid.Grid.bins.(e.Grid.dst) in
-                  incr sels;
-                  read_bin v.Grid.id;
-                  match
-                    Select.select ~cur:(cached_cur_disp grid st) ?util_probe cfg
-                      grid ~src:u ~dst:v ~kind:e.Grid.kind ~need
-                  with
-                  | None -> ()
-                  | Some sel ->
-                    let vid = v.Grid.id in
-                    st.visited.(vid) <- epoch;
-                    st.flow.(vid) <- sel.Select.inflow;
-                    st.cost.(vid) <- cost_u +. sel.Select.sel_cost;
-                    st.parent.(vid) <- uid;
-                    if st.cost.(vid) < bound cfg grid src !best_cost then begin
-                      if sel.Select.inflow <= Grid.demand v +. 1e-9 then begin
-                        (* candidate path (line 14) *)
-                        if st.cost.(vid) < !best_cost then begin
-                          best_cost := st.cost.(vid);
-                          best_leaf := vid
-                        end
-                      end
-                      else frontier_add ~key:(micro st.cost.(vid)) vid
+    let limit = ref (bound cfg grid src infinity) in
+    while not (frontier_empty ()) do
+      let uid = frontier_pop () in
+      st.pops <- st.pops + 1;
+      (* Each bin is pushed at most once per epoch (visited on push), so
+         its exact float cost is the stored label. *)
+      let cost_u = st.cost.(uid) in
+      let u = grid.Grid.bins.(uid) in
+      if cost_u <= !limit then begin
+        let need = st.flow.(uid) -. Grid.demand u in
+        if need > 1e-9 then begin
+          let edges = grid.Grid.edges.(uid) in
+          let loaded = ref false in
+          for ei = 0 to Array.length edges - 1 do
+            let e = edges.(ei) in
+            let kind_ok =
+              match e.Grid.kind with
+              | Grid.D2d -> cfg.Config.d2d_edges
+              | Grid.Horizontal | Grid.Vertical -> true
+            in
+            let mask_ok =
+              match mask with None -> true | Some m -> m.(e.Grid.dst)
+            in
+            if kind_ok && not mask_ok then note_pruned e.Grid.dst;
+            if kind_ok && mask_ok && st.visited.(e.Grid.dst) <> epoch then begin
+              let v = grid.Grid.bins.(e.Grid.dst) in
+              incr sels;
+              read_bin v.Grid.id;
+              if not !loaded then begin
+                Select.load ~cur sel grid u;
+                loaded := true
+              end;
+              if
+                Select.eval ?util_probe sel cfg grid ~dst:v ~kind:e.Grid.kind
+                  ~need
+              then begin
+                let vid = v.Grid.id in
+                let cost_v = cost_u +. tot.Select.t_sel_cost in
+                st.visited.(vid) <- epoch;
+                st.flow.(vid) <- tot.Select.t_inflow;
+                st.cost.(vid) <- cost_v;
+                st.parent.(vid) <- uid;
+                if cost_v < !limit then begin
+                  if tot.Select.t_inflow <= Grid.demand v +. 1e-9 then begin
+                    (* candidate path (line 14) *)
+                    if cost_v < !best_cost then begin
+                      best_cost := cost_v;
+                      best_leaf := vid;
+                      limit := bound cfg grid src cost_v
                     end
-                end)
-              grid.Grid.edges.(uid)
-        end;
-        loop ()
+                  end
+                  else frontier_add ~key:(micro cost_v) vid
+                end
+              end
+            end
+          done
+        end
       end
-    in
-    loop ();
+    done;
     Tdf_telemetry.count "flow3d.augment.pops" st.pops;
     if !sels > 0 then Tdf_telemetry.count "flow3d.select.calls" !sels;
     if !clamps > 0 then Tdf_telemetry.count "flow3d.frontier_clamps" !clamps;

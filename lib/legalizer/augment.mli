@@ -6,8 +6,10 @@
     branches costlier than [(1 + α)·cost(p_best)] are pruned (line 13).  A
     bin whose incoming flow fits its demand is a candidate leaf (line 14).
 
-    The per-bin label arrays and the frontier heap are allocated once and
-    reused across searches via epoch stamps. *)
+    The per-bin label arrays, the frontier heap and the selection scratch
+    are allocated once and reused across searches via epoch stamps.  Each
+    popped bin's fragments are loaded into the scratch once and every
+    out-edge is evaluated against them ({!Select.load}/{!Select.eval}). *)
 
 module Grid = Tdf_grid.Grid
 (** Canonical grid substrate (no local shim module). *)
@@ -22,7 +24,7 @@ type path = node list
 (** Root (the supply bin) first, candidate leaf last. *)
 
 type state
-(** Reusable search labels. *)
+(** Reusable search labels, frontier and selection scratch. *)
 
 val create_state : Grid.t -> state
 

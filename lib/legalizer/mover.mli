@@ -6,9 +6,9 @@ module Grid = Tdf_grid.Grid
 (** Canonical grid substrate (no local shim module). *)
 
 type scratch
-(** Reusable realization buffers; create one per flow pass and thread it
-    through every {!realize} call to hoist the per-augmentation path-array
-    allocation. *)
+(** Reusable realization buffers (the path array and a {!Select.t}
+    scratch); create one per flow pass and thread it through every
+    {!realize} call. *)
 
 val create_scratch : unit -> scratch
 

@@ -23,4 +23,11 @@ val relieve :
     tiled commit loop can invalidate speculations reading the touched
     region, or [None] when no cell of [src] fits anywhere.  [mask], when
     given, restricts destinations to bins [b] with [mask.(b) = true] (the
-    incremental legalizer's frozen-region contract). *)
+    incremental legalizer's frozen-region contract).
+
+    The destination is the lexicographic minimum of (D_c(b), the
+    fragment's position in [src]'s list, bin id) — the first minimum of a
+    scan over every fragment and every bin — found by visiting each die's
+    rows outward from the cell's [gp_y] and stopping once a row's y
+    distance alone exceeds the best cost so far.  The bins visited are
+    counted once per call as ["flow3d.relief.bins_scanned"]. *)
