@@ -90,6 +90,16 @@ val est_disp : t -> cell:int -> bin -> int
     the nearest legal spot inside bin [v] (x clamped into the bin, y = row
     bottom), using the cell's width on the bin's die. *)
 
+val iter_rows_outward :
+  t -> die:int -> y:int -> bound:(unit -> int) -> (int -> int -> unit) -> unit
+(** [iter_rows_outward t ~die ~y ~bound f] calls [f r dy] on the rows of
+    [die] outward from the one nearest [y] (that row, then one below and
+    one above, two below and two above, ...), where [dy] is row [r]'s y
+    distance from [y].  A row is skipped when [dy > bound ()], read before
+    each row; since [dy] only grows outward, a side ends at its first
+    skipped row.  [bound] must never increase during the walk.  Used by
+    {!find_slot} and relief to prune rows by y distance. *)
+
 val find_slot : t -> die:int -> x:int -> y:int -> w:int -> (int * int) option
 (** [find_slot t ~die ~x ~y ~w] finds the segment on [die] minimizing the
     Manhattan distance from [(x, y)] to a position where a width-[w] cell

@@ -348,7 +348,7 @@ let conflicts c = c.c_conflicts
 let live_searches c = c.c_live
 
 (* Re-evaluate a recorded utilization-cap comparison against the live die
-   totals — the exact expression [Select.select] computes, so the live
+   totals — the exact expression [Select.eval] computes, so the live
    search resolves the comparison identically iff the outcomes match. *)
 let util_still (c : consumer) (d, inflow, passed) =
   let grid = c.c_grid in

@@ -34,10 +34,10 @@ let test_select_horizontal_exact () =
            if e.G.kind = G.Horizontal then Some g.G.bins.(e.G.dst) else None)
     |> Option.get
   in
-  match L.Select.select cfg g ~src ~dst ~kind:G.Horizontal ~need:13.0 with
+  match Kernel_select.select cfg g ~src ~dst ~kind:G.Horizontal ~need:13.0 with
   | Some sel ->
-    Alcotest.(check (float 1e-6)) "freed exactly need" 13.0 sel.L.Select.freed;
-    Alcotest.(check (float 1e-6)) "inflow = freed" 13.0 sel.L.Select.inflow
+    Alcotest.(check (float 1e-6)) "freed exactly need" 13.0 sel.Ref_select.freed;
+    Alcotest.(check (float 1e-6)) "inflow = freed" 13.0 sel.Ref_select.inflow
   | None -> Alcotest.fail "selection expected"
 
 let test_select_whole_covers_need () =
@@ -51,13 +51,13 @@ let test_select_whole_covers_need () =
            if e.G.kind = G.Vertical then Some g.G.bins.(e.G.dst) else None)
     |> Option.get
   in
-  match L.Select.select cfg g ~src ~dst ~kind:G.Vertical ~need:13.0 with
+  match Kernel_select.select cfg g ~src ~dst ~kind:G.Vertical ~need:13.0 with
   | Some sel ->
-    Alcotest.(check bool) "freed >= need" true (sel.L.Select.freed >= 13.0);
+    Alcotest.(check bool) "freed >= need" true (sel.Ref_select.freed >= 13.0);
     List.iter
-      (fun (p : L.Select.pick) ->
-        Alcotest.(check (float 1e-9)) "whole cells" 1.0 p.L.Select.p_rho)
-      sel.L.Select.picks
+      (fun (p : Ref_select.pick) ->
+        Alcotest.(check (float 1e-9)) "whole cells" 1.0 p.Ref_select.p_rho)
+      sel.Ref_select.picks
   | None -> Alcotest.fail "selection expected"
 
 let test_select_need_exceeds_used () =
@@ -72,7 +72,7 @@ let test_select_need_exceeds_used () =
     |> Option.get
   in
   Alcotest.(check bool) "cannot shed more than held" true
-    (L.Select.select cfg g ~src ~dst ~kind:G.Vertical ~need:(src.G.used +. 1.) = None)
+    (Kernel_select.select cfg g ~src ~dst ~kind:G.Vertical ~need:(src.G.used +. 1.) = None)
 
 let test_augment_resolves_overflow () =
   let _, g = overflow_grid () in
