@@ -314,29 +314,44 @@ let sub_frag t b ~cell ~rho ~w =
     (if remaining <= 1e-9 then List.remove_assoc b.id t.cell_frags.(cell)
      else (b.id, remaining) :: List.remove_assoc b.id t.cell_frags.(cell))
 
+(* The bins of a segment tile [s_lo, s_hi) contiguously in increasing x,
+   so their right edges never decrease: the bins a span [x, x + w)
+   overlaps are the run starting at the first bin whose right edge passes
+   [x] and ending before the first bin starting at or past [x + w]. *)
+let first_bin_ending_after t s x =
+  let lo = ref 0 and hi = ref (Array.length s.s_bins - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let b = t.bins.(s.s_bins.(mid)) in
+    if b.x + b.width > x then hi := mid else lo := mid + 1
+  done;
+  !lo
+
 let distribute_in_segment t ~cell ~sid ~x =
   let s = t.segments.(sid) in
   let c = Design.cell t.design cell in
   let w = Cell.width_on c s.s_die in
   let x = max s.s_lo (min (max s.s_lo (s.s_hi - w)) x) in
-  let span = Interval.make x (x + w) in
+  let x_hi = x + w in
+  let nb = Array.length s.s_bins in
   let total = ref 0. in
-  Array.iter
-    (fun bid ->
-      let b = t.bins.(bid) in
-      let ov = Interval.overlap_length (Interval.make b.x (b.x + b.width)) span in
-      if ov > 0 then begin
-        let rho = float_of_int ov /. float_of_int w in
-        let rho = Float.min rho (1. -. !total) in
-        if rho > 0. then begin
-          add_frag t b ~cell ~rho ~w;
-          total := !total +. rho
-        end
-      end)
-    s.s_bins;
+  let i = ref (first_bin_ending_after t s x) in
+  while !i < nb && t.bins.(s.s_bins.(!i)).x < x_hi do
+    let b = t.bins.(s.s_bins.(!i)) in
+    let ov = min (b.x + b.width) x_hi - max b.x x in
+    if ov > 0 then begin
+      let rho = float_of_int ov /. float_of_int w in
+      let rho = Float.min rho (1. -. !total) in
+      if rho > 0. then begin
+        add_frag t b ~cell ~rho ~w;
+        total := !total +. rho
+      end
+    end;
+    incr i
+  done;
   (* Any residue (cell wider than the segment) lands in the last bin. *)
   if !total < 1. -. 1e-9 then begin
-    let last = t.bins.(s.s_bins.(Array.length s.s_bins - 1)) in
+    let last = t.bins.(s.s_bins.(nb - 1)) in
     add_frag t last ~cell ~rho:(1. -. !total) ~w
   end;
   t.cell_seg.(cell) <- sid

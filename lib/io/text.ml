@@ -19,60 +19,145 @@ module Net = Tdf_netlist.Net
 module Design = Tdf_netlist.Design
 module Placement = Tdf_netlist.Placement
 
-let write_design fmt (d : Design.t) =
-  Format.fprintf fmt "design %s@." d.Design.name;
+(* ---- encoding ------------------------------------------------------- *)
+
+(* Decimal digits straight into the buffer, as [string_of_int] spells
+   them ([min_int] has no positive counterpart to negate). *)
+let rec add_nat buf n =
+  if n >= 10 then add_nat buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int buf n =
+  if n >= 0 then add_nat buf n
+  else if n = min_int then Buffer.add_string buf (string_of_int n)
+  else begin
+    Buffer.add_char buf '-';
+    add_nat buf (-n)
+  end
+
+let add_field buf n =
+  Buffer.add_char buf ' ';
+  add_int buf n
+
+let add_word buf s =
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf s
+
+let add_fixed6 buf f = Printf.bprintf buf " %.6f" f
+
+let add_design buf (d : Design.t) =
+  Buffer.add_string buf "design ";
+  Buffer.add_string buf d.Design.name;
+  Buffer.add_char buf '\n';
   Array.iter
     (fun (die : Die.t) ->
       let o = die.Die.outline in
-      Format.fprintf fmt "die %d %d %d %d %d %d %d %.6f@." die.Die.index o.Rect.x
-        o.Rect.y o.Rect.w o.Rect.h die.Die.row_height die.Die.site_width
-        die.Die.max_util)
+      Buffer.add_string buf "die";
+      add_field buf die.Die.index;
+      add_field buf o.Rect.x;
+      add_field buf o.Rect.y;
+      add_field buf o.Rect.w;
+      add_field buf o.Rect.h;
+      add_field buf die.Die.row_height;
+      add_field buf die.Die.site_width;
+      add_fixed6 buf die.Die.max_util;
+      Buffer.add_char buf '\n')
     d.Design.dies;
   Array.iter
     (fun (c : Cell.t) ->
-      if c.Cell.weight = 1.0 then
-        Format.fprintf fmt "cell %d %s %d %d %.6f" c.Cell.id c.Cell.name
-          c.Cell.gp_x c.Cell.gp_y c.Cell.gp_z
-      else
-        Format.fprintf fmt "cellw %d %s %d %d %.6f %.6f" c.Cell.id c.Cell.name
-          c.Cell.gp_x c.Cell.gp_y c.Cell.gp_z c.Cell.weight;
-      Array.iter (fun w -> Format.fprintf fmt " %d" w) c.Cell.widths;
-      Format.fprintf fmt "@.")
+      let weighted = c.Cell.weight <> 1.0 in
+      Buffer.add_string buf (if weighted then "cellw" else "cell");
+      add_field buf c.Cell.id;
+      add_word buf c.Cell.name;
+      add_field buf c.Cell.gp_x;
+      add_field buf c.Cell.gp_y;
+      add_fixed6 buf c.Cell.gp_z;
+      if weighted then add_fixed6 buf c.Cell.weight;
+      Array.iter (add_field buf) c.Cell.widths;
+      Buffer.add_char buf '\n')
     d.Design.cells;
   Array.iter
     (fun (m : Blockage.t) ->
       let r = m.Blockage.rect in
-      Format.fprintf fmt "macro %d %s %d %d %d %d %d@." m.Blockage.id
-        m.Blockage.name m.Blockage.die r.Rect.x r.Rect.y r.Rect.w r.Rect.h)
+      Buffer.add_string buf "macro";
+      add_field buf m.Blockage.id;
+      add_word buf m.Blockage.name;
+      add_field buf m.Blockage.die;
+      add_field buf r.Rect.x;
+      add_field buf r.Rect.y;
+      add_field buf r.Rect.w;
+      add_field buf r.Rect.h;
+      Buffer.add_char buf '\n')
     d.Design.macros;
   Array.iter
     (fun (n : Net.t) ->
-      Format.fprintf fmt "net %d %s" n.Net.id n.Net.name;
-      Array.iter (fun p -> Format.fprintf fmt " %d" p) n.Net.pins;
-      Format.fprintf fmt "@.")
+      Buffer.add_string buf "net";
+      add_field buf n.Net.id;
+      add_word buf n.Net.name;
+      Array.iter (add_field buf) n.Net.pins;
+      Buffer.add_char buf '\n')
     d.Design.nets
 
-let design_to_string d = Format.asprintf "%a" write_design d
+let add_placement buf (p : Placement.t) =
+  for c = 0 to Placement.n_cells p - 1 do
+    Buffer.add_string buf "place";
+    add_field buf c;
+    add_field buf p.Placement.x.(c);
+    add_field buf p.Placement.y.(c);
+    add_field buf p.Placement.die.(c);
+    Buffer.add_char buf '\n'
+  done
+
+let design_to_string d =
+  let buf = Buffer.create 4096 in
+  add_design buf d;
+  Buffer.contents buf
+
+let placement_to_string _design p =
+  let buf = Buffer.create 4096 in
+  add_placement buf p;
+  Buffer.contents buf
+
+(* ---- decoding ------------------------------------------------------- *)
 
 exception Parse of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Parse s)) fmt
 
-let tokenize text =
-  String.split_on_char '\n' text
-  |> List.mapi (fun i line -> (i + 1, line))
-  |> List.filter_map (fun (i, line) ->
-         let line =
-           match String.index_opt line '#' with
-           | Some j -> String.sub line 0 j
-           | None -> line
-         in
-         let words =
-           String.split_on_char ' ' line
-           |> List.concat_map (String.split_on_char '\t')
-           |> List.filter (fun w -> w <> "")
-         in
-         if words = [] then None else Some (i, words))
+let is_blank c = c = ' ' || c = '\t'
+
+(* The words of [text.[lo .. hi - 1]], scanned right to left so the list
+   comes out in order. *)
+let words_in text lo hi =
+  let rec go i acc =
+    if i <= lo then acc
+    else if is_blank (String.unsafe_get text (i - 1)) then go (i - 1) acc
+    else begin
+      let j = ref (i - 1) in
+      while !j > lo && not (is_blank (String.unsafe_get text (!j - 1))) do
+        decr j
+      done;
+      go !j (String.sub text !j (i - !j) :: acc)
+    end
+  in
+  go hi []
+
+let iter_lines text f =
+  let n = String.length text in
+  let rec line start lineno =
+    if start <= n then begin
+      let stop = ref start and comment = ref (-1) in
+      while !stop < n && String.unsafe_get text !stop <> '\n' do
+        if !comment < 0 && String.unsafe_get text !stop = '#' then
+          comment := !stop;
+        incr stop
+      done;
+      let hi = if !comment >= 0 then !comment else !stop in
+      (match words_in text start hi with [] -> () | words -> f lineno words);
+      line (!stop + 1) (lineno + 1)
+    end
+  in
+  line 0 1
 
 let int_of ~line s =
   match int_of_string_opt s with
@@ -88,8 +173,7 @@ let read_design text =
   try
     let name = ref "unnamed" in
     let dies = ref [] and cells = ref [] and macros = ref [] and nets = ref [] in
-    List.iter
-      (fun (line, words) ->
+    iter_lines text (fun line words ->
         match words with
         | "design" :: n :: _ -> name := n
         | [ "die"; i; x; y; w; h; rh; sw; mu ] ->
@@ -129,8 +213,7 @@ let read_design text =
           let pins = Array.of_list (List.map (int_of ~line) ps) in
           nets := Net.make ~id:(int_of ~line id) ~name:nname ~pins () :: !nets
         | kw :: _ -> fail "line %d: unrecognized record %S" line kw
-        | [] -> ())
-      (tokenize text);
+        | [] -> ());
     let sort_by f l = List.sort (fun a b -> compare (f a) (f b)) l in
     let design =
       Design.make ~name:!name
@@ -148,20 +231,10 @@ let read_design text =
   | Parse msg -> Error msg
   | Assert_failure _ -> Error "invalid field value (assertion)"
 
-let write_placement fmt design (p : Placement.t) =
-  ignore design;
-  for c = 0 to Placement.n_cells p - 1 do
-    Format.fprintf fmt "place %d %d %d %d@." c p.Placement.x.(c) p.Placement.y.(c)
-      p.Placement.die.(c)
-  done
-
-let placement_to_string design p = Format.asprintf "%a" (fun fmt -> write_placement fmt design) p
-
 let read_placement design text =
   try
     let p = Placement.initial design in
-    List.iter
-      (fun (line, words) ->
+    iter_lines text (fun line words ->
         match words with
         | [ "place"; c; x; y; d ] ->
           let c = int_of ~line c in
@@ -171,16 +244,13 @@ let read_placement design text =
           p.Placement.y.(c) <- int_of ~line y;
           p.Placement.die.(c) <- int_of ~line d
         | kw :: _ -> fail "line %d: unrecognized record %S" line kw
-        | [] -> ())
-      (tokenize text);
+        | [] -> ());
     Ok p
   with Parse msg -> Error msg
 
-let with_out path f =
+let write_file path text =
   let oc = open_out path in
-  let fmt = Format.formatter_of_out_channel oc in
-  (try f fmt with e -> close_out oc; raise e);
-  Format.pp_print_flush fmt ();
+  (try output_string oc text with e -> close_out oc; raise e);
   close_out oc
 
 let read_file path =
@@ -190,11 +260,12 @@ let read_file path =
   close_in ic;
   s
 
-let save_design path d = with_out path (fun fmt -> write_design fmt d)
+let save_design path d = write_file path (design_to_string d)
 
 let load_design path = read_design (read_file path)
 
-let save_placement path design p = with_out path (fun fmt -> write_placement fmt design p)
+let save_placement path design p =
+  write_file path (placement_to_string design p)
 
 let load_placement path design = read_placement design (read_file path)
 

@@ -5,21 +5,25 @@
     reloaded; see the format grammar in the implementation header.  Round-
     tripping is exact. *)
 
-val write_design : Format.formatter -> Tdf_netlist.Design.t -> unit
-
 val design_to_string : Tdf_netlist.Design.t -> string
 
 val read_design : string -> (Tdf_netlist.Design.t, string) result
 (** Parse a design from the textual form; [Error msg] on malformed input. *)
-
-val write_placement :
-  Format.formatter -> Tdf_netlist.Design.t -> Tdf_netlist.Placement.t -> unit
 
 val placement_to_string :
   Tdf_netlist.Design.t -> Tdf_netlist.Placement.t -> string
 
 val read_placement :
   Tdf_netlist.Design.t -> string -> (Tdf_netlist.Placement.t, string) result
+
+val iter_lines : string -> (int -> string list -> unit) -> unit
+(** [iter_lines text f] calls [f line words] on each line of [text] that
+    holds at least one word, in order, where [line] is the 1-based line
+    number.  Lines end at ['\n']; a ['#'] starts a comment running to the
+    end of its line; words are the maximal runs of characters other than
+    space and tab (so a ['\r'] stays part of its word).  The one line
+    scanner of this library's text formats (designs, placements, ECO
+    deltas). *)
 
 val save_design : string -> Tdf_netlist.Design.t -> unit
 (** Write to a file path. *)

@@ -530,7 +530,10 @@ let rec handle_req t (req : Protocol.request) : Protocol.response =
         match snapshot with
         | None -> None
         | Some (prev_design, prev_placement) -> (
-          try Some (assert_placement_roundtrip r.Eco.design r.Eco.placement)
+          try
+            Some
+              (Tdf_telemetry.span "server.reply_check" (fun () ->
+                   assert_placement_roundtrip r.Eco.design r.Eco.placement))
           with Reply_error _ as e ->
             Eco.Session.set_placement s.sess prev_design prev_placement;
             raise e)
@@ -538,18 +541,19 @@ let rec handle_req t (req : Protocol.request) : Protocol.response =
       (* After the assertion: a rolled-back request left no state to
          journal.  The record carries the *effective* knobs (deadline cap
          applied), so replay re-runs exactly what ran. *)
-      journal_append t
-        ([
-           ("op", Json.String "eco");
-           ("session", Json.String session);
-           ("delta", Json.String (Delta.to_string delta));
-           ("radius", Json.Int cfg.Eco.initial_radius);
-           ("max_widenings", Json.Int cfg.Eco.max_widenings);
-         ]
-        @ opt_int "budget_ms" cfg.Eco.budget_ms
-        @ opt_int "jobs" jobs @ opt_int "tiles" tiles
-        @ [ ("digest", Json.String (Eco.Session.state_digest s.sess)) ]);
-      if cfg.Eco.budget_ms <> None then snapshot_budget_capped t s;
+      Tdf_telemetry.span "server.journal" (fun () ->
+        journal_append t
+          ([
+             ("op", Json.String "eco");
+             ("session", Json.String session);
+             ("delta", Json.String (Delta.to_string delta));
+             ("radius", Json.Int cfg.Eco.initial_radius);
+             ("max_widenings", Json.Int cfg.Eco.max_widenings);
+           ]
+          @ opt_int "budget_ms" cfg.Eco.budget_ms
+          @ opt_int "jobs" jobs @ opt_int "tiles" tiles
+          @ [ ("digest", Json.String (Eco.Session.state_digest s.sess)) ]);
+        if cfg.Eco.budget_ms <> None then snapshot_budget_capped t s);
       let st = r.Eco.stats in
       Ok
         (Protocol.Eco_applied

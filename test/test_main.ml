@@ -14,6 +14,7 @@ let () =
       ("metrics", Test_metrics.suite);
       ("benchgen", Test_benchgen.suite);
       ("io", Test_io.suite);
+      ("codec", Test_codec.suite);
       ("def_lef", Test_def_lef.suite);
       ("bonding", Test_bonding.suite);
       ("contest", Test_contest.suite);
@@ -29,6 +30,7 @@ let () =
       ("scale", Test_scale.suite);
       ("integration", Test_integration.suite);
       ("incremental", Test_incremental.suite);
+      ("reseat", Test_reseat.suite);
       ("server", Test_server.suite);
       ("journal", Test_journal.suite);
       ("gate", Test_gate.suite);
