@@ -1116,25 +1116,21 @@ let import_cmd =
           ~doc:"Also write the DEF's placed positions as a placement file \
                 (components without coordinates sit at their gp seed).")
   in
-  let run lef_path def_paths output place_out =
-    let lef =
-      match Tdf_def_lef.Lef.load lef_path with
-      | Ok l -> l
+  let run lef_path def_paths output place_out tele =
+    with_telemetry tele @@ fun () ->
+    let read load path =
+      match Tdf_telemetry.span "def_lef.read" (fun () -> load path) with
+      | Ok v -> v
       | Error e ->
-        Printf.eprintf "legalize: %s\n" (parse_diagnostic lef_path e);
+        Printf.eprintf "legalize: %s\n" (parse_diagnostic path e);
         exit 2
     in
-    let defs =
-      List.map
-        (fun p ->
-          match Tdf_def_lef.Def.load p with
-          | Ok d -> d
-          | Error e ->
-            Printf.eprintf "legalize: %s\n" (parse_diagnostic p e);
-            exit 2)
-        def_paths
-    in
-    match Tdf_def_lef.Def.to_design ~lef defs with
+    let lef = read Tdf_def_lef.Lef.load lef_path in
+    let defs = List.map (read Tdf_def_lef.Def.load) def_paths in
+    match
+      Tdf_telemetry.span "def_lef.to_design" (fun () ->
+          Tdf_def_lef.Def.to_design ~lef defs)
+    with
     | Error e ->
       Printf.eprintf "legalize: import: %s\n" e;
       exit 2
@@ -1142,7 +1138,8 @@ let import_cmd =
       List.iter
         (fun i ->
           Printf.eprintf "preflight: %s\n" (Tdf_robust.Validate.issue_to_string i))
-        (Tdf_robust.Validate.design design);
+        (Tdf_telemetry.span "robust.validate" (fun () ->
+             Tdf_robust.Validate.design design));
       Tdf_io.Text.save_design output design;
       Printf.printf "imported %d dies, %d cells, %d macros, %d nets -> %s\n"
         (Tdf_netlist.Design.n_dies design)
@@ -1163,7 +1160,7 @@ let import_cmd =
           die — into the native text format, validated like every other \
           reader (parse errors are typed $(b,file:line:) diagnostics, \
           exit 2).")
-    Term.(const run $ lef $ defs $ output $ place_out)
+    Term.(const run $ lef $ defs $ output $ place_out $ telemetry_term)
 
 let export_cmd =
   let placement =
@@ -1182,7 +1179,8 @@ let export_cmd =
           ~doc:"Output base path: writes $(docv).lef plus one \
                 $(docv).d<i>.def per die.")
   in
-  let run design_path placement_path output =
+  let run design_path placement_path output tele =
+    with_telemetry tele @@ fun () ->
     let design = load_design design_path in
     let placement = Option.map (load_placement design) placement_path in
     (* DEF components are name-keyed; refuse ambiguous exports instead of
@@ -1191,23 +1189,28 @@ let export_cmd =
        List.filter
          (fun (i : Tdf_robust.Validate.issue) ->
            i.Tdf_robust.Validate.code = "duplicate-cell-name")
-         (Tdf_robust.Validate.design design)
+         (Tdf_telemetry.span "robust.validate" (fun () ->
+              Tdf_robust.Validate.design design))
      with
     | i :: _ ->
       Printf.eprintf "legalize: export: %s\n"
         (Tdf_robust.Validate.issue_to_string i);
       exit 1
     | [] -> ());
-    let lef, defs = Tdf_def_lef.Def.of_design ?placement design in
+    let lef, defs =
+      Tdf_telemetry.span "def_lef.of_design" (fun () ->
+          Tdf_def_lef.Def.of_design ?placement design)
+    in
     let lef_path = output ^ ".lef" in
-    Tdf_def_lef.Lef.save lef_path lef;
     let def_paths =
-      List.mapi
-        (fun i d ->
-          let p = Printf.sprintf "%s.d%d.def" output i in
-          Tdf_def_lef.Def.save p d;
-          p)
-        defs
+      Tdf_telemetry.span "def_lef.write" (fun () ->
+          Tdf_def_lef.Lef.save lef_path lef;
+          List.mapi
+            (fun i d ->
+              let p = Printf.sprintf "%s.d%d.def" output i in
+              Tdf_def_lef.Def.save p d;
+              p)
+            defs)
     in
     Printf.printf "wrote %s (%d cells, %d macros, %d nets)\n"
       (String.concat " " (lef_path :: def_paths))
@@ -1222,7 +1225,7 @@ let export_cmd =
           DEF/LEF-lite: one LEF plus one DEF per die, deterministic down \
           to the byte — $(b,export) after a lossless $(b,import) \
           reproduces the files exactly.")
-    Term.(const run $ design_arg $ placement $ output)
+    Term.(const run $ design_arg $ placement $ output $ telemetry_term)
 
 (* ---- version ------------------------------------------------------- *)
 

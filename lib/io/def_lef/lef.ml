@@ -1,5 +1,5 @@
 (* LEF-lite reader/writer; see the grammar in lef.mli.  The reader is a
-   recursive descent over Lex's token stream: strict about the subset it
+   recursive descent over Lex's streaming cursor: strict about the subset it
    claims (unknown keywords are typed errors, not silent skips) but
    tolerant of the statements real libraries carry around the footprint
    data (PIN/OBS blocks, SYMMETRY, UNITS...), which it skips by
@@ -76,20 +76,14 @@ let parse_body cur ~what ~name ~skip_blocks =
   | Some (w, h) -> (!cls, w, h)
   | None -> fail "%s %s: missing SIZE" what name
 
-let parse cur exts =
+(* Extension comments are checked before the structure: a bad
+   [tdflow.widths] is reported even when the library also has a
+   structural error, wherever the two sit in the file.  So a structural
+   failure first scans the rest of the input for comments.  A widths
+   comment may come after its MACRO; widths attach once the whole input
+   has been read. *)
+let parse cur =
   let sites = ref [] and macros = ref [] in
-  let widths_of = Hashtbl.create 8 in
-  List.iter
-    (fun (line, ws) ->
-      match ws with
-      | "tdflow.widths" :: name :: (_ :: _ as rest) ->
-        Hashtbl.replace widths_of name
-          (Array.of_list (List.map (int_of ~line) rest))
-      | "tdflow.widths" :: _ ->
-        fail "line %d: tdflow.widths needs a macro name and widths" line
-      | kw :: _ -> fail "line %d: unknown extension comment %S" line kw
-      | [] -> ())
-    exts;
   let rec loop () =
     let t = next cur "library" in
     match t.word with
@@ -133,22 +127,41 @@ let parse cur exts =
       if m_w <= 0 || m_h <= 0 then
         fail "line %d: MACRO %s has a non-positive SIZE" t.line name;
       macros :=
-        {
-          m_name = name;
-          m_class;
-          m_w;
-          m_h;
-          m_widths = Hashtbl.find_opt widths_of name;
-        }
-        :: !macros;
+        { m_name = name; m_class; m_w; m_h; m_widths = None } :: !macros;
       loop ()
     | w -> fail "line %d: unrecognized library statement %S" t.line w
   in
-  loop ();
+  let structural =
+    match loop () with
+    | () -> None
+    | exception Parse msg ->
+      drain cur;
+      Some msg
+  in
+  let widths_of = Hashtbl.create 8 in
+  List.iter
+    (fun (line, ws) ->
+      match ws with
+      | "tdflow.widths" :: name :: (_ :: _ as rest) ->
+        Hashtbl.replace widths_of name
+          (Array.of_list (List.map (int_of ~line) rest))
+      | "tdflow.widths" :: _ ->
+        fail "line %d: tdflow.widths needs a macro name and widths" line
+      | kw :: _ -> fail "line %d: unknown extension comment %S" line kw
+      | [] -> ())
+    (extensions cur);
+  Option.iter (fun msg -> raise (Parse msg)) structural;
+  (* Newest first, as collected: of several macros with a non-positive
+     width, the positive-widths check below names the last one. *)
+  let macros =
+    List.map
+      (fun m -> { m with m_widths = Hashtbl.find_opt widths_of m.m_name })
+      !macros
+  in
   (* A widths comment naming an absent macro is a typo worth catching. *)
   Hashtbl.iter
     (fun name _ ->
-      if not (List.exists (fun m -> m.m_name = name) !macros) then
+      if not (List.exists (fun m -> m.m_name = name) macros) then
         fail "tdflow.widths names unknown macro %S" name)
     widths_of;
   List.iter
@@ -157,59 +170,63 @@ let parse cur exts =
       | Some ws when Array.exists (fun w -> w <= 0) ws ->
         fail "macro %s: tdflow.widths must be positive" m.m_name
       | _ -> ())
-    !macros;
-  { sites = List.rev !sites; macros = List.rev !macros }
+    macros;
+  { sites = List.rev !sites; macros = List.rev macros }
 
-let read text =
-  try
-    let toks, exts = lex text in
-    Ok (parse (cursor toks) exts)
-  with Parse msg -> Error msg
+let read text = try Ok (parse (cursor text)) with Parse msg -> Error msg
 
-let write fmt (t : t) =
-  Format.fprintf fmt "VERSION 5.8 ;@.";
+(* ---- writer -------------------------------------------------------- *)
+
+let add_size buf w h =
+  Buffer.add_string buf "  SIZE ";
+  add_int buf w;
+  Buffer.add_string buf " BY ";
+  add_int buf h;
+  Buffer.add_string buf " ;\n"
+
+let add_named buf kw name =
+  Buffer.add_string buf kw;
+  Buffer.add_string buf name;
+  Buffer.add_char buf '\n'
+
+let to_string (t : t) =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "VERSION 5.8 ;\n";
   List.iter
     (fun s ->
-      Format.fprintf fmt "SITE %s@." s.s_name;
-      Format.fprintf fmt "  CLASS %s ;@." s.s_class;
-      Format.fprintf fmt "  SIZE %d BY %d ;@." s.s_w s.s_h;
-      Format.fprintf fmt "END %s@." s.s_name)
+      add_named buf "SITE " s.s_name;
+      Buffer.add_string buf "  CLASS ";
+      Buffer.add_string buf s.s_class;
+      Buffer.add_string buf " ;\n";
+      add_size buf s.s_w s.s_h;
+      add_named buf "END " s.s_name)
     t.sites;
   List.iter
     (fun m ->
-      Format.fprintf fmt "MACRO %s@." m.m_name;
-      Format.fprintf fmt "  CLASS %s ;@." m.m_class;
-      Format.fprintf fmt "  SIZE %d BY %d ;@." m.m_w m.m_h;
+      add_named buf "MACRO " m.m_name;
+      Buffer.add_string buf "  CLASS ";
+      Buffer.add_string buf m.m_class;
+      Buffer.add_string buf " ;\n";
+      add_size buf m.m_w m.m_h;
       (match m.m_widths with
       | Some ws ->
-        Format.fprintf fmt "  # tdflow.widths %s" m.m_name;
-        Array.iter (fun w -> Format.fprintf fmt " %d" w) ws;
-        Format.fprintf fmt "@."
+        Buffer.add_string buf "  # tdflow.widths ";
+        Buffer.add_string buf m.m_name;
+        Array.iter
+          (fun w ->
+            Buffer.add_char buf ' ';
+            add_int buf w)
+          ws;
+        Buffer.add_char buf '\n'
       | None -> ());
-      Format.fprintf fmt "END %s@." m.m_name)
+      add_named buf "END " m.m_name)
     t.macros;
-  Format.fprintf fmt "END LIBRARY@."
-
-let to_string t = Format.asprintf "%a" write t
-
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+  Buffer.add_string buf "END LIBRARY\n";
+  Buffer.contents buf
 
 let load path = read (read_file path)
 
-let save path t =
-  let oc = open_out path in
-  let fmt = Format.formatter_of_out_channel oc in
-  (try write fmt t
-   with e ->
-     close_out oc;
-     raise e);
-  Format.pp_print_flush fmt ();
-  close_out oc
+let save path t = write_file path (to_string t)
 
 let find_site t name = List.find_opt (fun s -> s.s_name = name) t.sites
 

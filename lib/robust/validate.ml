@@ -48,10 +48,16 @@ let window design =
         Some (Rect.make ~x ~y ~w:(xh - x) ~h:(yh - y)))
     None design.Design.dies
 
-let distinct_pins (n : Net.t) =
-  let seen = Hashtbl.create 8 in
-  Array.iter (fun p -> Hashtbl.replace seen p ()) n.Net.pins;
-  Hashtbl.length seen
+(* Fewer than two distinct pins: every pin is the first one. *)
+let degenerate (n : Net.t) =
+  Array.for_all (fun p -> p = n.Net.pins.(0)) n.Net.pins
+
+module Names = Hashtbl.Make (String)
+
+(* Issue subjects are built only when an issue is raised. *)
+let cell_subject (c : Cell.t) = Printf.sprintf "cell %d" c.Cell.id
+
+let net_subject (n : Net.t) = Printf.sprintf "net %s" n.Net.name
 
 let design (d : Design.t) =
   let issues = ref [] in
@@ -111,34 +117,33 @@ let design (d : Design.t) =
   let win = window d in
   Array.iter
     (fun (c : Cell.t) ->
-      let subject = Printf.sprintf "cell %d" c.Cell.id in
       if Array.length c.Cell.widths <> nd then
-        add Fatal "width-arity" subject "%d widths for %d dies"
+        add Fatal "width-arity" (cell_subject c) "%d widths for %d dies"
           (Array.length c.Cell.widths) nd
       else begin
-        let fits_somewhere =
-          Array.exists
-            (fun dd -> max_seg.(dd) > 0 && Cell.width_on c dd <= max_seg.(dd))
-            (Array.init nd (fun i -> i))
+        let rec fits_from dd =
+          dd < nd
+          && ((max_seg.(dd) > 0 && Cell.width_on c dd <= max_seg.(dd))
+             || fits_from (dd + 1))
         in
-        if not fits_somewhere then
-          add Fatal "unplaceable-cell" subject
+        if not (fits_from 0) then
+          add Fatal "unplaceable-cell" (cell_subject c)
             "wider than every row segment of every die (widths %s)"
             (String.concat "/"
                (Array.to_list (Array.map string_of_int c.Cell.widths)))
         else begin
           let home = Cell.nearest_die c ~n_dies:nd in
           if Cell.width_on c home > max_seg.(home) then
-            add Warning "wide-cell" subject
+            add Warning "wide-cell" (cell_subject c)
               "width %d exceeds the widest segment (%d) of its nearest die %d"
               (Cell.width_on c home) max_seg.(home) home
         end
       end;
       let z_hi = float_of_int (max 0 (nd - 1)) in
       if Float.is_nan c.Cell.gp_z then
-        add Fatal "nan-gp-z" subject "gp_z is NaN; the cell has no home die"
+        add Fatal "nan-gp-z" (cell_subject c) "gp_z is NaN; the cell has no home die"
       else if c.Cell.gp_z < 0. || c.Cell.gp_z > z_hi then
-        add Warning "gp-z-window" subject "gp_z %.3f outside [0, %g]"
+        add Warning "gp-z-window" (cell_subject c) "gp_z %.3f outside [0, %g]"
           c.Cell.gp_z z_hi;
       (match win with
       | Some w ->
@@ -148,37 +153,36 @@ let design (d : Design.t) =
           || c.Cell.gp_y < w.Rect.y
           || c.Cell.gp_y > w.Rect.y + w.Rect.h
         then
-          add Warning "gp-out-of-window" subject
+          add Warning "gp-out-of-window" (cell_subject c)
             "gp position (%d, %d) outside the die window" c.Cell.gp_x
             c.Cell.gp_y
       | None -> ()))
     d.Design.cells;
   (* Duplicate cell names: harmless internally (ids key everything) but
      the name-keyed DEF interchange cannot round-trip them. *)
-  let names = Hashtbl.create (max 16 (Design.n_cells d)) in
+  let names = Names.create (max 16 (Design.n_cells d)) in
   Array.iter
     (fun (c : Cell.t) ->
-      match Hashtbl.find_opt names c.Cell.name with
+      match Names.find_opt names c.Cell.name with
       | Some first ->
-        add Warning "duplicate-cell-name"
-          (Printf.sprintf "cell %d" c.Cell.id)
+        add Warning "duplicate-cell-name" (cell_subject c)
           "name %S is already used by cell %d; DEF export would conflate them"
           c.Cell.name first
-      | None -> Hashtbl.replace names c.Cell.name c.Cell.id)
+      | None -> Names.replace names c.Cell.name c.Cell.id)
     d.Design.cells;
   (* Nets. *)
   Array.iter
     (fun (n : Net.t) ->
-      let subject = Printf.sprintf "net %s" n.Net.name in
       let bad_pin =
         Array.exists (fun p -> p < 0 || p >= Design.n_cells d) n.Net.pins
       in
       if bad_pin then
-        add Fatal "net-bad-pin" subject "references a cell outside the design"
-      else if distinct_pins n < 2 then
-        add Warning "degenerate-net" subject
+        add Fatal "net-bad-pin" (net_subject n)
+          "references a cell outside the design"
+      else if degenerate n then
+        add Warning "degenerate-net" (net_subject n)
           "%d distinct pin(s); contributes nothing to wirelength"
-          (distinct_pins n))
+          (min 1 (Array.length n.Net.pins)))
     d.Design.nets;
   List.stable_sort
     (fun a b ->
@@ -324,7 +328,7 @@ let repair (d : Design.t) =
     |> List.filter (fun (n : Net.t) ->
            let bad =
              Array.exists (fun p -> p < 0 || p >= n_cells) n.Net.pins
-             || distinct_pins n < 2
+             || degenerate n
            in
            if bad then note "dropped net %s (degenerate or dangling)" n.Net.name;
            not bad)

@@ -16,6 +16,7 @@ let () =
       ("io", Test_io.suite);
       ("codec", Test_codec.suite);
       ("def_lef", Test_def_lef.suite);
+      ("def_diff", Test_def_lef_diff.suite);
       ("bonding", Test_bonding.suite);
       ("contest", Test_contest.suite);
       ("refine", Test_refine.suite);

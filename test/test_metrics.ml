@@ -131,8 +131,106 @@ let test_legality_site_misalignment () =
   p.Placement.x.(0) <- 8;
   Alcotest.(check int) "aligned ok" 0 (Legality.check d p).Legality.n_violations
 
+(* ---- flat HPWL against its closure-based oracle ------------------------ *)
+
+(* A design spanning several 4,096-net chunks, with single-pin nets and,
+   when [empty], zero-pin nets (built as records: [Net.make] refuses
+   them), plus a random placement on either die.  Coordinates mix small
+   values with ones near 2^45, so the float sums round and their order
+   shows in the bits. *)
+let wide_design ~empty seed =
+  let rng = Tdf_util.Prng.create seed in
+  let prng_int = Tdf_util.Prng.int rng in
+  let coord () =
+    if prng_int 4 = 0 then (1 lsl 45) + prng_int 1_000_000 else prng_int 100
+  in
+  let n = 3000 in
+  let cells =
+    Array.init n (fun id ->
+        Fixtures.cell ~id ~w0:(1 + prng_int 9) ~w1:(1 + prng_int 9)
+          ~x:(coord ()) ~y:(coord ())
+          ~z:(Tdf_util.Prng.float rng 1.6 -. 0.3)
+          ())
+  in
+  let nets =
+    Array.init (2 * 4096 + prng_int 3000) (fun id ->
+        let k =
+          match prng_int 10 with
+          | 0 -> if empty then 0 else 1
+          | 1 -> 1
+          | 2 -> 20 + prng_int 40
+          | _ -> 2 + prng_int 6
+        in
+        { Net.id; name = Printf.sprintf "n%d" id; pins = Array.init k (fun _ -> prng_int n) })
+  in
+  let d =
+    Design.make ~name:"wide"
+      ~dies:(Fixtures.two_dies ~row_height_top:12 ())
+      ~cells ~nets ()
+  in
+  let p = Placement.initial d in
+  Array.iteri
+    (fun c _ ->
+      p.Placement.x.(c) <- coord ();
+      p.Placement.y.(c) <- coord ();
+      p.Placement.die.(c) <- prng_int 2)
+    p.Placement.x;
+  (d, p)
+
+let test_hpwl_oracle () =
+  let bits = Int64.bits_of_float in
+  let before = Tdf_par.jobs () in
+  Fun.protect
+    ~finally:(fun () -> Tdf_par.set_jobs before)
+    (fun () ->
+      List.iter
+        (fun jobs ->
+          Tdf_par.set_jobs jobs;
+          List.iter
+            (fun (seed, empty) ->
+              let d, p = wide_design ~empty seed in
+              let what = Printf.sprintf "seed %d jobs %d" seed jobs in
+              Alcotest.(check int64) ("of_placement " ^ what)
+                (bits (Ref_hpwl.of_placement d p)) (bits (H.of_placement d p));
+              Alcotest.(check int64) ("of_global " ^ what)
+                (bits (Ref_hpwl.of_global d)) (bits (H.of_global d));
+              Alcotest.(check int64) ("increase_pct " ^ what)
+                (bits (Ref_hpwl.increase_pct d p)) (bits (H.increase_pct d p)))
+            [ (1, false); (2, false); (3, true) ])
+        [ 1; 2 ])
+
+(* A net visiting a cell whose centre cannot be computed raises as the
+   per-pin computation did; an unreferenced one costs nothing. *)
+let test_hpwl_bad_die () =
+  let d0, p0 = wide_design ~empty:false 4 in
+  (* one more cell, on no net *)
+  let unused = Design.n_cells d0 in
+  let d =
+    Design.make ~name:"wide+1" ~dies:d0.Design.dies
+      ~cells:(Array.append d0.Design.cells [| Fixtures.cell ~id:unused ~x:0 ~y:0 ~z:0. () |])
+      ~nets:d0.Design.nets ()
+  in
+  let p =
+    {
+      Placement.x = Array.append p0.Placement.x [| 0 |];
+      y = Array.append p0.Placement.y [| 0 |];
+      die = Array.append p0.Placement.die [| 7 |];
+    }
+  in
+  let nets = d.Design.nets in
+  Alcotest.(check int64) "unreferenced bad die"
+    (Int64.bits_of_float (Ref_hpwl.of_placement d p))
+    (Int64.bits_of_float (H.of_placement d p));
+  p.Placement.die.(nets.(0).Net.pins.(0)) <- -1;
+  let outcome f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e) in
+  Alcotest.(check bool) "referenced bad die" true
+    (outcome (fun () -> Ref_hpwl.of_placement d p) = outcome (fun () -> H.of_placement d p)
+    && Result.is_error (outcome (fun () -> H.of_placement d p)))
+
 let suite =
   [
+    Alcotest.test_case "hpwl = closure oracle, bitwise" `Quick test_hpwl_oracle;
+    Alcotest.test_case "hpwl: bad die only where referenced" `Quick test_hpwl_bad_die;
     Alcotest.test_case "displacement summary" `Quick test_displacement_summary;
     Alcotest.test_case "per-die normalization" `Quick test_displacement_norm_per_die;
     Alcotest.test_case "hpwl global" `Quick test_hpwl_global;

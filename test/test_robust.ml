@@ -274,8 +274,73 @@ let test_io_exn_entries () =
     | exception Failure _ -> true
     | _ -> false)
 
+(* ---- preflight against its verbatim oracle --------------------------- *)
+
+(* Random designs carrying every kind of issue [Validate.design] raises:
+   degenerate, duplicate-pin, empty and out-of-range nets, duplicate
+   names, NaN / out-of-window gp coordinates, width-arity mismatches,
+   unplaceable and wide cells, escaping and overlapping macros.  Records
+   are built directly where the smart constructors would refuse them. *)
+let issue_design seed =
+  let rng = Tdf_util.Prng.create seed in
+  let int = Tdf_util.Prng.int rng in
+  let base = Fixtures.random ~n:(5 + int 40) ~with_macros:(int 2 = 0) seed in
+  let n = Design.n_cells base in
+  let cells =
+    Array.map
+      (fun (c : Cell.t) ->
+        match int 14 with
+        | 0 -> { c with Cell.gp_z = Float.nan }
+        | 1 -> { c with Cell.gp_z = 1.5 +. Tdf_util.Prng.float rng 2. }
+        | 2 -> { c with Cell.gp_x = -50 - int 100 }
+        | 3 -> { c with Cell.gp_y = 500 }
+        | 4 -> { c with Cell.widths = [| 7 |] }
+        | 5 -> { c with Cell.widths = [| 500; 500 |] }
+        | 6 -> { c with Cell.widths = [| 119; 500 |] }
+        | 7 -> { c with Cell.name = "c0" }
+        | _ -> c)
+      base.Design.cells
+  in
+  let pick () = int n in
+  let nets =
+    Array.init (int 20) (fun id ->
+        let pins =
+          match int 8 with
+          | 0 -> [||]
+          | 1 -> [| pick () |]
+          | 2 -> let a = pick () in [| a; a; a |]
+          | 3 -> let a = pick () in [| a; a; pick () |]
+          | 4 -> [| pick (); (if int 2 = 0 then -1 else n) |]
+          | _ -> Array.init (2 + int 4) (fun _ -> pick ())
+        in
+        { Net.id; name = Printf.sprintf "net%d" (int 5); pins })
+  in
+  let macros =
+    Array.append base.Design.macros
+      (Array.init (int 3) (fun id ->
+           {
+             Tdf_netlist.Blockage.id = Array.length base.Design.macros + id;
+             name = Printf.sprintf "m%d" id;
+             die = int 3;
+             rect =
+               Tdf_geometry.Rect.make ~x:(int 130) ~y:(int 60) ~w:(1 + int 40)
+                 ~h:(1 + int 40);
+           }))
+  in
+  { base with Design.cells; nets; macros }
+
+let test_validate_oracle () =
+  for seed = 1 to 300 do
+    let d = issue_design seed in
+    let want = Ref_validate.design d and got = Validate.design d in
+    if want <> got then
+      Alcotest.failf "seed %d: issue lists differ (%d vs %d issues)" seed
+        (List.length want) (List.length got)
+  done
+
 let suite =
   [
+    Alcotest.test_case "validate = verbatim oracle" `Quick test_validate_oracle;
     Alcotest.test_case "validate clean design" `Quick test_validate_clean;
     Alcotest.test_case "validate NaN gp_z" `Quick test_validate_nan_gp_z;
     Alcotest.test_case "validate degenerate net" `Quick
