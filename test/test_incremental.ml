@@ -336,6 +336,89 @@ let prop_eco_deterministic_across_tiles =
             [ 1; 4 ])
         [ 2; 4 ])
 
+(* ---- warm == cold --------------------------------------------------- *)
+
+(* One request of a seeded ECO stream on [d]/[p]: jittered and cross-die
+   moves, resizes, a remove paired with an add (the cell count, and so
+   the warm grid, survives it), or, at request [crowd], 300 cells moved
+   onto one spot so the first dirty region cannot absorb them. *)
+let stream_delta rng d (p : Placement.t) ~crowd i =
+  let n = Design.n_cells d in
+  let o = (Design.die d 0).Tdf_netlist.Die.outline in
+  let x_in x = max o.Tdf_geometry.Rect.x (min (o.Tdf_geometry.Rect.x + o.Tdf_geometry.Rect.w - 1) x) in
+  let y_in y = max o.Tdf_geometry.Rect.y (min (o.Tdf_geometry.Rect.y + o.Tdf_geometry.Rect.h - 1) y) in
+  let jitter c ~die =
+    Delta.Move
+      { cell = c; x = x_in (p.Placement.x.(c) + Prng.int_in rng (-40) 40);
+        y = y_in (p.Placement.y.(c) + Prng.int_in rng (-40) 40); die }
+  in
+  if i = crowd then begin
+    let x = x_in (o.Tdf_geometry.Rect.x + (o.Tdf_geometry.Rect.w / 2)) in
+    let y = y_in (o.Tdf_geometry.Rect.y + (o.Tdf_geometry.Rect.h / 2)) in
+    List.init 300 (fun k -> Delta.Move { cell = k; x; y; die = 0 })
+  end
+  else
+    match i mod 4 with
+    | 0 | 1 ->
+      List.init (Prng.int_in rng 1 6) (fun _ ->
+          let c = Prng.int rng n in
+          let die = p.Placement.die.(c) in
+          jitter c ~die:(if Prng.int rng 3 = 0 then 1 - die else die))
+    | 2 ->
+      let c = Prng.int rng n in
+      let w = (Design.cell d c).Cell.widths in
+      [ Delta.Resize { cell = c; widths = Array.map (fun w -> max 1 (w + Prng.int_in rng (-2) 4)) w };
+        jitter (Prng.int rng n) ~die:(Prng.int rng 2) ]
+    | _ ->
+      let c = Prng.int rng n in
+      [ Delta.Remove { cell = c };
+        Delta.Add
+          { name = Printf.sprintf "eco%d" i; x = x_in (p.Placement.x.(c) + 7);
+            y = p.Placement.y.(c); die = p.Placement.die.(c);
+            widths = (Design.cell d c).Cell.widths } ]
+
+(* A warm session (one grid re-seated request after request) answers a
+   stream exactly as a cold one-shot [Eco.run] per request: the same
+   placement bytes and the same stats, widenings included. *)
+let test_warm_equals_cold tiles () =
+  let d =
+    Tdf_benchgen.Gen.generate_by_name ~scale:0.2 Tdf_benchgen.Spec.Iccad2023
+      "case2"
+  in
+  let prev = (Flow3d.legalize d).Flow3d.placement in
+  let cfg = { Eco.default_cfg with Eco.tiles = Some tiles } in
+  let session = Eco.Session.create ~cfg d prev in
+  let rng = Prng.create 20261018 in
+  let design = ref d and placement = ref prev in
+  let widened = ref false and reused = ref 0 in
+  for i = 0 to 29 do
+    let delta = stream_delta rng !design !placement ~crowd:11 i in
+    match (Eco.run ~cfg !design !placement delta, Eco.Session.eco session delta) with
+    | Ok cold, Ok warm ->
+      let same a b = Array.for_all2 Int.equal a b in
+      let pc = cold.Eco.placement and pw = warm.Eco.placement in
+      if
+        not
+          (same pc.Placement.x pw.Placement.x
+          && same pc.Placement.y pw.Placement.y
+          && same pc.Placement.die pw.Placement.die)
+      then Alcotest.failf "request %d: warm placement differs from cold" i;
+      if cold.Eco.stats <> warm.Eco.stats then
+        Alcotest.failf "request %d: warm stats differ from cold" i;
+      if warm.Eco.stats.Eco.widenings > 0 then widened := true;
+      if Eco.Session.grid_reused_last session then incr reused;
+      design := cold.Eco.design;
+      placement := cold.Eco.placement
+    | Error a, Error b ->
+      Alcotest.(check string)
+        (Printf.sprintf "request %d: same error" i)
+        (Eco.error_to_string a) (Eco.error_to_string b)
+    | Ok _, Error e | Error e, Ok _ ->
+      Alcotest.failf "request %d: only one side failed: %s" i (Eco.error_to_string e)
+  done;
+  check "the stream forced a widening" true !widened;
+  check "the warm grid was reused" true (!reused >= 25)
+
 let suite =
   [
     Alcotest.test_case "delta round-trip" `Quick test_delta_roundtrip;
@@ -357,4 +440,6 @@ let suite =
     prop_eco_displacement_bounded;
     prop_eco_deterministic_across_jobs;
     prop_eco_deterministic_across_tiles;
+    Alcotest.test_case "warm session = cold run, tiles 1" `Slow (test_warm_equals_cold 1);
+    Alcotest.test_case "warm session = cold run, tiles 4" `Slow (test_warm_equals_cold 4);
   ]

@@ -70,6 +70,20 @@ let reseat_design rng =
   in
   Design.make ~name:"reseat" ~dies ~cells ~macros ()
 
+(* The full seat of [targets] on [r] through the every-bin oracle: stops
+   at the first cell with no slot, as [Grid.reset_to] does. *)
+let ref_seat r targets =
+  let n = Array.length targets in
+  let rec go c =
+    if c >= n then Ok ()
+    else
+      let x, y, die = targets.(c) in
+      match Ref_grid.place_cell r ~cell:c ~die ~x ~y with
+      | Ok () -> go (c + 1)
+      | Error _ as e -> e
+  in
+  go 0
+
 let prop_reseat_matches_oracle =
   QCheck.Test.make ~name:"re-seat = every-bin oracle (bitwise)" ~count:200
     QCheck.(int_bound 1_000_000)
@@ -108,18 +122,155 @@ let prop_reseat_matches_oracle =
       let targets = Array.init n (fun _ -> target ()) in
       let a = G.reset_to g targets in
       G.reset r;
-      let b =
-        let rec go c =
-          if c >= n then Ok ()
-          else
-            let x, y, die = targets.(c) in
-            match Ref_grid.place_cell r ~cell:c ~die ~x ~y with
-            | Ok () -> go (c + 1)
-            | Error _ as e -> e
-        in
-        go 0
-      in
+      let b = ref_seat r targets in
       !ok && a = b && grid_state g = grid_state r)
+
+(* ---- Incremental re-seat ---------------------------------------------- *)
+
+(* A random mutation of a seated grid, through the same entry points the
+   flow pass and the ECO engine use. *)
+let mutate rng (g : G.t) target =
+  let n = Array.length g.G.cell_seg in
+  let cell = Prng.int rng n in
+  match Prng.int rng 5 with
+  | 0 | 1 -> (
+    (* a fraction to a horizontally adjacent bin of the same segment *)
+    match G.cell_bins g cell with
+    | [] -> ()
+    | bins ->
+      let src = g.G.bins.(List.nth bins (Prng.int rng (List.length bins))) in
+      let nb = Array.length g.G.bins in
+      let dst = src.G.id + if Prng.bool rng then 1 else -1 in
+      if dst >= 0 && dst < nb && g.G.bins.(dst).G.seg = src.G.seg then
+        G.move_fraction g ~cell ~src ~dst:g.G.bins.(dst)
+          ~rho:(if Prng.bool rng then 1. else Prng.float rng 1.))
+  | 2 ->
+    (* a whole cell anywhere, across dies too *)
+    if g.G.cell_seg.(cell) >= 0 then
+      G.move_whole g ~cell ~dst:g.G.bins.(Prng.int rng (Array.length g.G.bins))
+  | 3 ->
+    G.remove_cell g ~cell;
+    let x, y, die = target () in
+    ignore (G.place_cell g ~cell ~die ~x ~y)
+  | _ -> G.remove_cell g ~cell
+
+(* [d] with some cells replaced by new records: resized, or equal but not
+   the same record. *)
+let rebind rng (d : Design.t) =
+  let cells = Array.copy d.Design.cells in
+  for _ = 1 to Prng.int_in rng 1 3 do
+    let i = Prng.int rng (Array.length cells) in
+    let c = cells.(i) in
+    cells.(i) <-
+      (if Prng.bool rng then { c with Cell.widths = Array.copy c.Cell.widths }
+       else
+         { c with Cell.widths = Array.map (fun w -> max 1 (w + Prng.int_in rng (-3) 3)) c.Cell.widths })
+  done;
+  { d with Design.cells }
+
+let prop_incremental_reseat =
+  QCheck.Test.make ~name:"incremental reset_to = full seat (bitwise)" ~count:150
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let d0 = reseat_design rng in
+      (* die 1 fully blocked on some designs: a cell wider than every die-0
+         segment, sent to die 1, has no slot anywhere *)
+      let blocked = Prng.int rng 3 = 0 in
+      let d0 =
+        if not blocked then d0
+        else begin
+          let o = (Design.die d0 1).Die.outline in
+          let m = Array.length d0.Design.macros in
+          let wall = Blockage.make ~id:m ~die:1 ~rect:o () in
+          { d0 with Design.macros = Array.append d0.Design.macros [| wall |] }
+        end
+      in
+      let bin_width = Prng.int_in rng 1 25 in
+      let g = ref (G.build d0 ~bin_width) in
+      let n = Design.n_cells d0 in
+      let o = (Design.die d0 0).Die.outline in
+      let target () =
+        ( Prng.int_in rng (o.Rect.x - 60) (o.Rect.x + o.Rect.w + 60),
+          Prng.int_in rng (-20) 80,
+          Prng.int rng 2 )
+      in
+      let targets = Array.init n (fun _ -> target ()) in
+      let ok = ref true in
+      for _ = 1 to 10 do
+        (* targets: mostly unchanged, sometimes many, sometimes one with no
+           slot anywhere *)
+        let k = if Prng.int rng 6 = 0 then n else Prng.int rng 4 in
+        for _ = 1 to k do
+          targets.(Prng.int rng n) <- target ()
+        done;
+        let d = (!g).G.design in
+        let d =
+          if blocked && Prng.int rng 4 = 0 then begin
+            let i = Prng.int rng n in
+            let x, y, _ = targets.(i) in
+            targets.(i) <- (x, y, 1);
+            let cells = Array.copy d.Design.cells in
+            cells.(i) <- { (cells.(i)) with Cell.widths = [| o.Rect.w + 1; 1 |] };
+            { d with Design.cells }
+          end
+          else if Prng.int rng 3 = 0 then rebind rng d
+          else d
+        in
+        (* the warm ECO cache's rebind *)
+        g := { !g with G.design = d };
+        if Prng.int rng 10 = 0 then G.reset !g;
+        let a = G.reset_to !g targets in
+        let r = G.build d ~bin_width in
+        let b = ref_seat r targets in
+        if a <> b || grid_state !g <> grid_state r then ok := false;
+        if a = Ok () then
+          for _ = 1 to Prng.int rng (2 * n + 1) do
+            mutate rng !g target
+          done
+      done;
+      !ok)
+
+(* A clone's mutations and re-seats never reach the original's record. *)
+let prop_clone_isolation =
+  QCheck.Test.make ~name:"clone never disturbs the original's re-seat" ~count:100
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let d = reseat_design rng in
+      let bin_width = Prng.int_in rng 1 25 in
+      let g = G.build d ~bin_width in
+      let n = Design.n_cells d in
+      let o = (Design.die d 0).Die.outline in
+      let target () =
+        ( Prng.int_in rng (o.Rect.x - 60) (o.Rect.x + o.Rect.w + 60),
+          Prng.int_in rng (-20) 80,
+          Prng.int rng 2 )
+      in
+      let targets = Array.init n (fun _ -> target ()) in
+      let seated = G.reset_to g targets = Ok () in
+      (* marks the original must keep *)
+      for _ = 1 to Prng.int_in rng 1 n do
+        mutate rng g target
+      done;
+      let before = grid_state g in
+      let c = G.clone g in
+      for _ = 1 to 4 * n do
+        mutate rng c target
+      done;
+      (* a clone re-seated close to the original's targets *)
+      let near = Array.copy targets in
+      near.(Prng.int rng n) <- target ();
+      ignore (G.reset_to c near);
+      for _ = 1 to 2 * n do
+        mutate rng c target
+      done;
+      let untouched = grid_state g = before in
+      targets.(Prng.int rng n) <- target ();
+      let a = G.reset_to g targets in
+      let r = G.build d ~bin_width in
+      let b = ref_seat r targets in
+      seated && untouched && a = b && grid_state g = grid_state r)
 
 (* ---- Perturb ---------------------------------------------------------- *)
 
@@ -194,6 +345,8 @@ let test_move_only_shares () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_reseat_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_incremental_reseat;
+    QCheck_alcotest.to_alcotest prop_clone_isolation;
     QCheck_alcotest.to_alcotest prop_perturb_matches_oracle;
     Alcotest.test_case "move-only delta shares nets and cells" `Quick test_move_only_shares;
   ]
